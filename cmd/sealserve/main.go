@@ -2,9 +2,9 @@
 // serves models prepared with seal.Prepare over HTTP, with each
 // tenant's weights sealed under a key derived from the gateway master
 // key. Requests are admitted through a bounded queue (full queue →
-// 429 + Retry-After), batched dynamically, and executed on a pool of
-// streaming secure engines per model, so clients send one sample per
-// request while the accelerator sees wide batches.
+// 429 + Retry-After), batched dynamically, and executed on one
+// streaming secure engine per dispatcher worker, so clients send one
+// sample per request while the accelerator sees wide batches.
 //
 // Usage:
 //
@@ -53,6 +53,17 @@ import (
 
 	"seal"
 	"seal/internal/serve"
+)
+
+// Connection timeouts of the listening server. Without them a client
+// that trickles its request headers (slowloris) or parks idle
+// keep-alive connections holds a socket and a goroutine for as long as
+// it likes. Only the header read and idle gaps are bounded: bodies are
+// already capped in size by the gateway, and a whole-request deadline
+// would also cut off honest clients on slow links.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -123,7 +134,12 @@ func main() {
 			name, info.Arch, info.Scale, info.WeightEncFraction*100, info.Workers)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: gw.Handler()}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           gw.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	drained := make(chan struct{})
@@ -134,7 +150,7 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(shutdownCtx) // stop accepting, drain HTTP
-		gw.Close()                    // then drain the engine pools
+		gw.Close()                    // then drain the dispatcher workers
 	}()
 
 	fmt.Printf("sealserve: listening on %s (queue %d, max batch %d, window %s)\n",
@@ -144,8 +160,9 @@ func main() {
 		os.Exit(1)
 	}
 	// ListenAndServe returns the instant Shutdown is called; in-flight
-	// requests and the engine pools are still draining in the signal
-	// goroutine, so graceful shutdown means waiting for it to finish.
+	// requests and the dispatcher workers are still draining in the
+	// signal goroutine, so graceful shutdown means waiting for it to
+	// finish.
 	<-drained
 }
 

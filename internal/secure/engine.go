@@ -12,16 +12,26 @@
 // construction; with one worker the engine degrades to a strict
 // decode-then-consume loop that is allocation-free when warm.
 //
+// One pipeline serves every layer in both image formats. An FC layer is
+// the kk = 1, ncols = 1 case of a convolution (its kernel-row blocks are
+// input features instead of channels, each batch item a single column),
+// and an int8 image differs from a float one only in how a layer stages
+// its input (im2col, or quantize plus int8 im2col), which GEMM consumes
+// a panel, and how it finishes (bias, or dequantize plus bias).
+//
 // Bit-identity with the plaintext nn forward is load-bearing: every
-// panel GEMM continues each output element's ascending-p float32
+// float panel GEMM continues each output element's ascending-p float32
 // accumulation chain from its stored value (see tensor.MatMulPanelAccWS),
-// so streamed logits equal plaintext logits bit for bit at every pool
-// width — the equivalence tests pin this.
+// int8 panels chain in exact int32, and the float helpers around them run
+// in the nn forward's order, so streamed logits equal the nn logits (the
+// quantized eval forward, for an int8 image) bit for bit at every pool
+// width and panel size — the equivalence tests pin this.
 //
 // Only kernel weights live in the image (that is what EMalloc lays
 // out); biases and BatchNorm parameters come from the plaintext model,
 // matching the paper's threat model where SE protects the weight
-// tensors on the memory bus.
+// tensors on the memory bus. An int8 image also carries each layer's
+// dequantization scales in a plaintext "qs:" header region.
 package secure
 
 import (
@@ -51,34 +61,29 @@ type Stats struct {
 }
 
 // step is one stage of the streamed forward pass: exactly one of mod
-// (plaintext passthrough: BN, activation, pooling, flatten), conv, fc
-// or blk is set.
+// (plaintext passthrough: BN, activation, pooling, flatten), layer or
+// blk is set.
 type step struct {
-	mod  nn.Module
-	conv *convStep
-	fc   *fcStep
-	blk  *blockStep
+	mod   nn.Module
+	layer *layer
+	blk   *blockStep
 }
 
-// convStep streams one convolution layer from its weight region.
-type convStep struct {
-	layer   *nn.Conv2D
+// layer streams one conv or FC layer from its weight region, whose
+// blocks are laid out [block][out][kk]. For an FC layer kk = ncols = 1.
+type layer struct {
+	conv    *nn.Conv2D // nil for an FC layer
+	fc      *nn.Linear // nil for a convolution
 	region  *core.Region
-	kk      int // KH*KW: kernel-matrix columns per input channel
-	cpp     int // channels (kernel-row blocks) per panel
+	outC    int
+	blocks  int // kernel-row blocks: input channels, or input features
+	kk      int // kernel-matrix columns per block (KH*KW)
+	ncols   int // output positions per item (OutH*OutW)
+	perIn   int // input floats per batch item
+	cpp     int // blocks per panel
 	panels  int
-	out     *tensor.Tensor // engine-owned [N, OutC, OutH, OutW]
-	qscales []float32      // int8 mode: per-output-channel scales from qs header
-}
-
-// fcStep streams one fully-connected layer from its weight region.
-type fcStep struct {
-	layer   *nn.Linear
-	region  *core.Region
-	cpp     int // input features per panel
-	panels  int
-	out     *tensor.Tensor // engine-owned [N, Out]
-	qscales []float32      // int8 mode: per-output scales from qs header
+	out     *tensor.Tensor // engine-owned output
+	qscales []float32      // int8: per-output-channel scales from the qs header
 }
 
 // blockStep streams a residual block: its convolutions run from the
@@ -86,8 +91,8 @@ type fcStep struct {
 // plaintext block does.
 type blockStep struct {
 	b            *nn.ResidualBlock
-	conv1, conv2 *convStep
-	shortcut     *convStep // nil for identity shortcuts
+	conv1, conv2 *layer
+	shortcut     *layer // nil for identity shortcuts
 	out          *tensor.Tensor
 }
 
@@ -103,67 +108,56 @@ type Engine struct {
 	img        *core.MemoryImage
 	model      *models.Model
 	panelBytes int
+	int8       bool
 	steps      []step
 
-	// per-batch-item headers and im2col storage, grown on batch change
-	batch   int
-	colsBuf [][]float32
-	colsHdr []*tensor.Tensor
-	imgHdr  []*tensor.Tensor
-	outHdr  []*tensor.Tensor
+	// per-batch-item headers and workspaces, grown on batch change: float
+	// im2col, or the quantized input, its int8 im2col and int32 accumulators
+	colsBuf  [][]float32
+	colsHdr  []*tensor.Tensor
+	imgHdr   []*tensor.Tensor
+	outHdr   []*tensor.Tensor
+	qimgBuf  [][]int8
+	qcolsBuf [][]int8
+	qcolsHdr []*tensor.Int8Mat
+	accBuf   [][]int32
+	actScale []float32
 
-	// double-buffered weight panels: decode writes wbuf[1-cur] while the
-	// GEMMs read wbuf[cur]; byteBuf stages the decrypted region bytes and
-	// is touched only by the (strictly serialized) decode tasks.
+	// per-chunk GEMM workspaces for the item-parallel consume
+	scratch [][]float32
+	int8WS  []*tensor.Int8GEMMWS
+
+	// double-buffered weight panels: decode writes buffer 1-cur while the
+	// GEMMs read buffer cur; byteBuf stages the decrypted region bytes and
+	// is touched only by the (strictly serialized) decode tasks. An int8
+	// panel also carries its dual-lane packed words.
+	byteBuf []byte
 	wbuf    [2][]float32
 	wHdr    [2]*tensor.Tensor
-	byteBuf []byte
+	qwbuf   [2][]int8
+	qwHdr   [2]*tensor.Int8Mat
+	qpack   [2][]int64
 
-	// per-chunk GEMM packing scratch for the item-parallel conv consume
-	scratch [][]float32
+	maxPanelBytes int
+	maxPanelW     int // weights per panel
+	maxCols       int
+	maxScratch    int
+	maxQImg       int
+	maxQCols      int
+	maxAcc        int
+	maxPacked     int
 
-	maxColsFloats    int
-	maxPanelFloats   int
-	maxPanelBytes    int
-	maxScratchFloats int
+	// The layer in flight. run writes these only between fan-outs; the
+	// task closures below are bound once at construction and read them,
+	// so the overlapped pipeline allocates no closures of its own.
+	cur    *layer
+	x, out *tensor.Tensor
+	n      int
+	grain  int // batch items per chunk
+	t      int // panel being consumed; decodeNext decodes t+1
 
-	// int8 streaming mode (img.Layout.Int8): weight panels decrypt as
-	// one byte per weight and feed the dual-lane int8 GEMM; activations
-	// are quantized per item with dynamic symmetric scales, exactly as
-	// the nn quantized eval path does, so logits are bit-identical to it.
-	int8      bool
-	convSteps []*convStep
-	fcSteps   []*fcStep
-
-	// per-item int8 state, grown on batch change
-	qimgBuf  [][]int8          // quantized input staging
-	qcolsBuf [][]int8          // transposed im2col backing
-	qcolsHdr []*tensor.Int8Mat // headers over qcolsBuf
-	accBuf   [][]int32         // conv int32 accumulators [ncols*OutC]
-	actScale []float32         // conv per-item / FC per-row activation scale
-
-	// FC int8 state (whole-batch GEMM)
-	qxBuf []int8          // quantized FC activations [batch*maxFCIn]
-	qxHdr *tensor.Int8Mat // header over qxBuf
-	fcAcc []int32         // FC accumulators [batch*maxFCOut]
-
-	// double-buffered int8 weight panels + their packed dual-lane words
-	qwbuf [2][]int8
-	qwHdr [2]*tensor.Int8Mat
-	qpack [2][]int64
-
-	// per-chunk int8 GEMM workspaces and dequantize staging
-	int8WS []*tensor.Int8GEMMWS
-	deqBuf [][]float32
-	deqHdr []*tensor.Tensor
-
-	maxQImg      int
-	maxQCols     int
-	maxAccInts   int
-	maxPanelInt8 int
-	maxPacked    int
-	maxFCIn      int
-	maxFCOut     int
+	stageAll, decodeNext, consumeAll func()
+	stageFn, consumeFn, finishFn     func(lo, hi int)
 
 	stats Stats
 }
@@ -182,8 +176,7 @@ func NewEngine(img *core.MemoryImage, m *models.Model, panelBytes int) (*Engine,
 	if len(m.WeightLayers) != len(layers) {
 		return nil, fmt.Errorf("secure: model has %d weight layers, image plan %d", len(m.WeightLayers), len(layers))
 	}
-	convRegion := make(map[*nn.Conv2D]*core.Region, len(layers))
-	fcRegion := make(map[*nn.Linear]*core.Region, len(layers))
+	regions := make(map[nn.Module]*core.Region, len(layers))
 	for i, lp := range layers {
 		w := m.WeightLayers[i]
 		if w.Name != lp.Name {
@@ -194,47 +187,40 @@ func NewEngine(img *core.MemoryImage, m *models.Model, panelBytes int) (*Engine,
 			return nil, fmt.Errorf("secure: missing weights region for %s", lp.Name)
 		}
 		if w.Conv != nil {
-			convRegion[w.Conv] = r
+			regions[w.Conv] = r
 		} else {
-			fcRegion[w.FC] = r
+			regions[w.FC] = r
 		}
 	}
 	e := &Engine{img: img, model: m, panelBytes: panelBytes, int8: img.Layout.Int8}
 	matched := 0
-	newConv := func(c *nn.Conv2D) (*convStep, error) {
-		r, ok := convRegion[c]
+	stream := func(mod nn.Module) (*layer, error) {
+		r, ok := regions[mod]
 		if !ok {
-			return nil, fmt.Errorf("secure: conv %s has no weights region", c.Name)
+			return nil, fmt.Errorf("secure: %s has no weights region", mod.(nn.Named).LayerName())
 		}
 		matched++
-		return e.addConvStep(c, r), nil
+		return e.addLayer(mod, r)
 	}
 	for _, mod := range m.Net.Modules {
 		switch v := mod.(type) {
-		case *nn.Conv2D:
-			cs, err := newConv(v)
+		case *nn.Conv2D, *nn.Linear:
+			l, err := stream(v)
 			if err != nil {
 				return nil, err
 			}
-			e.steps = append(e.steps, step{conv: cs})
-		case *nn.Linear:
-			r, ok := fcRegion[v]
-			if !ok {
-				return nil, fmt.Errorf("secure: linear %s has no weights region", v.Name)
-			}
-			matched++
-			e.steps = append(e.steps, step{fc: e.addFCStep(v, r)})
+			e.steps = append(e.steps, step{layer: l})
 		case *nn.ResidualBlock:
 			bs := &blockStep{b: v}
 			var err error
-			if bs.conv1, err = newConv(v.Conv1); err != nil {
+			if bs.conv1, err = stream(v.Conv1); err != nil {
 				return nil, err
 			}
-			if bs.conv2, err = newConv(v.Conv2); err != nil {
+			if bs.conv2, err = stream(v.Conv2); err != nil {
 				return nil, err
 			}
 			if v.Shortcut != nil {
-				if bs.shortcut, err = newConv(v.Shortcut); err != nil {
+				if bs.shortcut, err = stream(v.Shortcut); err != nil {
 					return nil, err
 				}
 			}
@@ -249,89 +235,80 @@ func NewEngine(img *core.MemoryImage, m *models.Model, panelBytes int) (*Engine,
 		return nil, fmt.Errorf("secure: matched %d of %d weight layers in the network", matched, len(layers))
 	}
 	e.byteBuf = make([]byte, e.maxPanelBytes)
-	if e.int8 {
-		if err := e.initInt8(); err != nil {
-			return nil, err
+	for i := range e.wHdr {
+		if e.int8 {
+			e.qwbuf[i] = make([]int8, e.maxPanelW)
+			e.qwHdr[i] = &tensor.Int8Mat{}
+			e.qpack[i] = make([]int64, e.maxPacked)
+		} else {
+			e.wbuf[i] = make([]float32, e.maxPanelW)
+			e.wHdr[i] = &tensor.Tensor{}
 		}
-		return e, nil
 	}
-	e.wbuf[0] = make([]float32, e.maxPanelFloats)
-	e.wbuf[1] = make([]float32, e.maxPanelFloats)
-	e.wHdr[0] = &tensor.Tensor{}
-	e.wHdr[1] = &tensor.Tensor{}
+	e.stageFn, e.consumeFn, e.finishFn = e.stage, e.consume, e.finish
+	e.stageAll = func() { e.items(e.stageFn) }
+	e.consumeAll = func() { e.items(e.consumeFn) }
+	e.decodeNext = func() { e.decode(e.t + 1) }
 	return e, nil
 }
 
-// addConvStep registers a streamed convolution and folds its buffer
+// addLayer registers a streamed conv or FC layer and folds its buffer
 // needs into the engine maxima.
-func (e *Engine) addConvStep(c *nn.Conv2D, r *core.Region) *convStep {
-	g := c.Geom
-	kk := g.KH * g.KW
-	cs := &convStep{layer: c, region: r, kk: kk}
-	cs.cpp, cs.panels = panelSplit(e.panelBytes, int(r.BlockBytes), g.InC)
-	ncols := g.OutH() * g.OutW()
-	e.convSteps = append(e.convSteps, cs)
+func (e *Engine) addLayer(mod nn.Module, r *core.Region) (*layer, error) {
+	l := &layer{region: r, kk: 1, ncols: 1}
+	if c, ok := mod.(*nn.Conv2D); ok {
+		g := c.Geom
+		l.conv, l.outC, l.blocks = c, c.OutC, g.InC
+		l.kk, l.ncols, l.perIn = g.KH*g.KW, g.OutH()*g.OutW(), g.InC*g.InH*g.InW
+	} else {
+		l.fc = mod.(*nn.Linear)
+		l.outC, l.blocks, l.perIn = l.fc.Out, l.fc.In, l.fc.In
+	}
+	l.cpp = max(1, min(e.panelBytes/int(r.BlockBytes), l.blocks))
 	if e.int8 {
 		// Keep every panel inside the packed GEMM's single-call depth so
 		// the streaming path never hits the splitting fallback.
-		if maxCpp := tensor.MaxInt8PanelDepth / kk; cs.cpp > maxCpp {
-			cs.cpp = maxCpp
-			cs.panels = (g.InC + cs.cpp - 1) / cs.cpp
+		l.cpp = min(l.cpp, tensor.MaxInt8PanelDepth/l.kk)
+	}
+	l.panels = (l.blocks + l.cpp - 1) / l.cpp
+	kp := l.cpp * l.kk
+	depth := l.blocks * l.kk
+	e.maxPanelBytes = max(e.maxPanelBytes, l.cpp*int(r.BlockBytes))
+	e.maxPanelW = max(e.maxPanelW, l.outC*kp)
+	if !e.int8 {
+		if l.conv != nil {
+			e.maxCols = max(e.maxCols, depth*l.ncols)
+			e.maxScratch = max(e.maxScratch, tensor.MatMulPanelLen(kp))
 		}
-		e.grow(&e.maxQImg, g.InC*g.InH*g.InW)
-		e.grow(&e.maxQCols, g.InC*kk*ncols)
-		e.grow(&e.maxAccInts, c.OutC*ncols)
-		e.grow(&e.maxPanelInt8, c.OutC*cs.cpp*kk)
-		e.grow(&e.maxPacked, tensor.PackedBLen(c.OutC, cs.cpp*kk))
-		e.grow(&e.maxPanelBytes, cs.cpp*int(r.BlockBytes))
-		return cs
+		return l, nil
 	}
-	e.grow(&e.maxColsFloats, g.InC*kk*ncols)
-	e.grow(&e.maxPanelFloats, c.OutC*cs.cpp*kk)
-	e.grow(&e.maxPanelBytes, cs.cpp*int(r.BlockBytes))
-	e.grow(&e.maxScratchFloats, tensor.MatMulPanelLen(cs.cpp*kk))
-	return cs
+	if l.conv != nil {
+		e.maxQImg = max(e.maxQImg, l.perIn)
+	}
+	e.maxQCols = max(e.maxQCols, depth*l.ncols)
+	e.maxAcc = max(e.maxAcc, l.outC*l.ncols)
+	e.maxPacked = max(e.maxPacked, tensor.PackedBLen(l.outC, kp))
+	var err error
+	l.qscales, err = e.readScales(mod.(nn.Named).LayerName(), l.outC)
+	return l, err
 }
 
-// addFCStep registers a streamed fully-connected layer.
-func (e *Engine) addFCStep(l *nn.Linear, r *core.Region) *fcStep {
-	fs := &fcStep{layer: l, region: r}
-	fs.cpp, fs.panels = panelSplit(e.panelBytes, int(r.BlockBytes), l.In)
-	e.fcSteps = append(e.fcSteps, fs)
-	if e.int8 {
-		if fs.cpp > tensor.MaxInt8PanelDepth {
-			fs.cpp = tensor.MaxInt8PanelDepth
-			fs.panels = (l.In + fs.cpp - 1) / fs.cpp
-		}
-		e.grow(&e.maxPanelInt8, l.Out*fs.cpp)
-		e.grow(&e.maxPacked, tensor.PackedBLen(l.Out, fs.cpp))
-		e.grow(&e.maxPanelBytes, fs.cpp*int(r.BlockBytes))
-		e.grow(&e.maxFCIn, l.In)
-		e.grow(&e.maxFCOut, l.Out)
-		return fs
+// readScales loads a layer's per-output-channel scales from its
+// plaintext "qs:" header region.
+func (e *Engine) readScales(name string, outC int) ([]float32, error) {
+	r := e.img.Layout.Region("qs:" + name)
+	if r == nil {
+		return nil, fmt.Errorf("secure: missing scales region for %s", name)
 	}
-	e.grow(&e.maxPanelFloats, l.Out*fs.cpp)
-	e.grow(&e.maxPanelBytes, fs.cpp*int(r.BlockBytes))
-	return fs
-}
-
-func (e *Engine) grow(max *int, n int) {
-	if n > *max {
-		*max = n
+	buf := make([]byte, r.Size)
+	if _, err := e.img.DecryptRangeInto(r, 0, buf); err != nil {
+		return nil, err
 	}
-}
-
-// panelSplit sizes panels for a region: as many whole kernel-row blocks
-// as fit the byte budget, at least one.
-func panelSplit(panelBytes, blockBytes, blocks int) (cpp, panels int) {
-	cpp = panelBytes / blockBytes
-	if cpp < 1 {
-		cpp = 1
+	s := make([]float32, outC)
+	for o := range s {
+		s[o] = math.Float32frombits(binary.LittleEndian.Uint32(buf[o*4:]))
 	}
-	if cpp > blocks {
-		cpp = blocks
-	}
-	return cpp, (blocks + cpp - 1) / cpp
+	return s, nil
 }
 
 // Stats returns the accumulated counters.
@@ -346,28 +323,11 @@ func (e *Engine) Model() *models.Model { return e.model }
 // ResetStats zeroes the counters.
 func (e *Engine) ResetStats() { e.stats = Stats{} }
 
-// Reserve grows the engine's per-item workspace pools to batch width n
-// without running a forward, so a serving layer can pre-size every
-// engine at install time and keep the steady-state path allocation-free
-// from the first request. Layer output tensors are still sized lazily on
-// first Forward (they grow once and are then reused for any batch ≤ the
-// widest seen).
-func (e *Engine) Reserve(n int) { e.ensureBatch(n) }
-
 // PanelBytes returns the configured panel byte budget.
 func (e *Engine) PanelBytes() int { return e.panelBytes }
 
 // Int8 reports whether the engine streams a quantized image.
 func (e *Engine) Int8() bool { return e.int8 }
-
-// convForward dispatches a streamed convolution to the float or int8
-// pipeline according to the image format.
-func (e *Engine) convForward(cs *convStep, x *tensor.Tensor) *tensor.Tensor {
-	if e.int8 {
-		return e.runConvInt8(cs, x)
-	}
-	return e.runConv(cs, x)
-}
 
 // Forward runs the streamed secure forward pass on a batch
 // [N, C, H, W] and returns the logits, bit-identical to
@@ -378,14 +338,8 @@ func (e *Engine) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for i := range e.steps {
 		s := &e.steps[i]
 		switch {
-		case s.conv != nil:
-			x = e.convForward(s.conv, x)
-		case s.fc != nil:
-			if e.int8 {
-				x = e.runFCInt8(s.fc, x)
-			} else {
-				x = e.runFC(s.fc, x)
-			}
+		case s.layer != nil:
+			x = e.run(s.layer, x)
 		case s.blk != nil:
 			x = e.runBlock(s.blk, x)
 		default:
@@ -397,167 +351,146 @@ func (e *Engine) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ensureBatch grows the per-item header/storage pools to n items and
-// the per-chunk scratch pool to the current fan-out width. Warm calls
-// with a stable batch and pool width allocate nothing.
+// the per-chunk GEMM workspaces to the current fan-out width. Warm
+// calls with a stable batch and pool width allocate nothing (the int8
+// GEMM workspaces size themselves on first use).
 func (e *Engine) ensureBatch(n int) {
-	e.batch = n
-	chunks := parallel.Workers()
-	if chunks > n {
-		chunks = n
-	}
-	if e.int8 {
-		e.ensureBatchInt8(n, chunks)
-		return
-	}
-	for len(e.colsBuf) < n {
-		e.colsBuf = append(e.colsBuf, make([]float32, e.maxColsFloats))
+	for len(e.outHdr) < n {
 		e.colsHdr = append(e.colsHdr, &tensor.Tensor{})
 		e.imgHdr = append(e.imgHdr, &tensor.Tensor{})
 		e.outHdr = append(e.outHdr, &tensor.Tensor{})
+		if e.int8 {
+			e.qimgBuf = append(e.qimgBuf, make([]int8, e.maxQImg))
+			e.qcolsBuf = append(e.qcolsBuf, make([]int8, e.maxQCols))
+			e.qcolsHdr = append(e.qcolsHdr, &tensor.Int8Mat{})
+			e.accBuf = append(e.accBuf, make([]int32, e.maxAcc))
+			e.actScale = append(e.actScale, 0)
+		} else {
+			e.colsBuf = append(e.colsBuf, make([]float32, e.maxCols))
+		}
 	}
-	for len(e.scratch) < chunks {
-		e.scratch = append(e.scratch, make([]float32, e.maxScratchFloats))
+	chunks := min(parallel.Workers(), n)
+	for len(e.scratch) < chunks && !e.int8 {
+		e.scratch = append(e.scratch, make([]float32, e.maxScratch))
+	}
+	for len(e.int8WS) < chunks && e.int8 {
+		e.int8WS = append(e.int8WS, tensor.NewInt8GEMMWS(1, 1, 0))
 	}
 }
 
-// runConv streams one convolution: im2col of the whole batch (overlapped
-// with the first panel's decrypt), then for each panel the decrypt of
-// the next one overlapped with the batch GEMM-accumulate of the current
-// one, then the bias pass. Per-element float order matches
-// Conv2D.forwardInfer exactly: the panel GEMMs reproduce MatMulIntoWS's
-// accumulation chain and the bias adds after the full sum, as there.
-func (e *Engine) runConv(cs *convStep, x *tensor.Tensor) *tensor.Tensor {
-	c := cs.layer
-	g := c.Geom
+// run streams one layer: stage every item's GEMM operand, fold the
+// weight panels in one at a time, then finish each item's output.
+// Serially that is a plain decode→consume loop. With more workers the
+// batch stage overlaps panel 0's decrypt, each panel's consume overlaps
+// the next panel's decrypt, and stage/consume/finish shard the batch
+// items across the pool with one GEMM workspace per chunk.
+func (e *Engine) run(l *layer, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
-	oh, ow := g.OutH(), g.OutW()
-	ncols := oh * ow
-	kkTot := g.InC * cs.kk
-	perIn := g.InC * g.InH * g.InW
-	perOut := c.OutC * ncols
-	out := ensure4(&cs.out, n, c.OutC, oh, ow)
-	for i := 0; i < n; i++ {
-		aim3(e.imgHdr[i], x.Data[i*perIn:(i+1)*perIn], g.InC, g.InH, g.InW)
-		aim2(e.colsHdr[i], e.colsBuf[i][:kkTot*ncols], kkTot, ncols)
-		aim2(e.outHdr[i], out.Data[i*perOut:(i+1)*perOut], c.OutC, ncols)
-	}
-	if parallel.Workers() == 1 {
-		// Strict serial path: no closures, no goroutines, no allocations.
-		for i := 0; i < n; i++ {
-			tensor.Im2ColInto(e.colsHdr[i], e.imgHdr[i], g)
-		}
-		for t := 0; t < cs.panels; t++ {
-			e.decodeConvPanel(cs, t, 0)
-			e.consumeConvRange(cs, t, 0, 0, n, e.scratch[0])
-		}
+	e.cur, e.x, e.n = l, x, n
+	if l.conv != nil {
+		e.out = ensure4(&l.out, n, l.outC, l.conv.Geom.OutH(), l.conv.Geom.OutW())
 	} else {
-		// Stage the whole batch's im2col while panel 0 decrypts, then
-		// pipeline: decode(t+1) on a spawned worker, consume(t) inline.
-		parallel.Do(
-			func() { e.im2colAll(cs, n) },
-			func() { e.decodeConvPanel(cs, 0, 0) },
-		)
-		for t := 0; t < cs.panels; t++ {
-			t := t
-			cur := t & 1
-			if t+1 < cs.panels {
-				parallel.Do(
-					func() { e.decodeConvPanel(cs, t+1, cur^1) },
-					func() { e.consumeConv(cs, t, cur, n) },
-				)
-			} else {
-				e.consumeConv(cs, t, cur, n)
-			}
+		e.out = ensure2(&l.out, n, l.outC)
+	}
+	w := parallel.Workers()
+	e.grain = max(n, 1)
+	if w == 1 {
+		// Strict serial path: no closures, no goroutines, no allocations.
+		e.stage(0, n)
+		for e.t = 0; e.t < l.panels; e.t++ {
+			e.decode(e.t)
+			e.consume(0, n)
+		}
+		e.finish(0, n)
+		return e.out
+	}
+	e.t = -1
+	if l.ncols == 1 {
+		// One output column per item (FC) is a matrix-vector product: too
+		// little work per item to pay for sharding the batch or for
+		// overlapping its stage with the first decrypt.
+		e.stage(0, n)
+		e.decodeNext()
+	} else {
+		e.grain = (n + w - 1) / w
+		parallel.Do(e.stageAll, e.decodeNext)
+	}
+	for e.t = 0; e.t < l.panels; e.t++ {
+		if e.t+1 < l.panels {
+			parallel.Do(e.decodeNext, e.consumeAll)
+		} else {
+			e.consumeAll()
 		}
 	}
-	if c.UseBias {
-		for i := 0; i < n; i++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				b := c.Bias.W.Data[oc]
-				base := (i*c.OutC + oc) * ncols
-				for j := 0; j < ncols; j++ {
-					out.Data[base+j] += b
-				}
-			}
-		}
-	}
-	return out
+	e.items(e.finishFn)
+	return e.out
 }
 
-// im2colAll expands every batch item into its cols buffer, sharding
-// items across the pool (each item's Im2ColInto may fan out further
-// over channels; the semaphore keeps nesting bounded).
-func (e *Engine) im2colAll(cs *convStep, n int) {
-	g := cs.layer.Geom
-	parallel.For(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tensor.Im2ColInto(e.colsHdr[i], e.imgHdr[i], g)
-		}
-	})
-}
-
-// consumeConv folds panel t into every item's output matrix, items
-// sharded across the pool with one packing scratch per chunk.
-func (e *Engine) consumeConv(cs *convStep, t, parity, n int) {
-	chunks := parallel.Workers()
-	if chunks > n {
-		chunks = n
-	}
-	if chunks == 1 {
-		e.consumeConvRange(cs, t, parity, 0, n, e.scratch[0])
+// items runs fn over the batch items in flight, one chunk of e.grain
+// items per worker.
+func (e *Engine) items(fn func(lo, hi int)) {
+	if e.grain >= e.n {
+		fn(0, e.n)
 		return
 	}
-	grain := (n + chunks - 1) / chunks
-	parallel.For(n, grain, func(lo, hi int) {
-		e.consumeConvRange(cs, t, parity, lo, hi, e.scratch[lo/grain])
-	})
+	parallel.For(e.n, e.grain, fn)
 }
 
-func (e *Engine) consumeConvRange(cs *convStep, t, parity, lo, hi int, scratch []float32) {
-	p0 := t * cs.cpp * cs.kk
-	acc := t > 0
+// stage prepares items [lo, hi) of the layer in flight as GEMM
+// operands and points their output headers into the layer output. In
+// float mode that is the im2col expansion (an FC item is its own single
+// column); in int8 mode each item is quantized with its own dynamic
+// symmetric scale and expanded into the transposed int8 im2col layout —
+// the same helper sequence as the nn quantized path, for bit-identity.
+func (e *Engine) stage(lo, hi int) {
+	l := e.cur
+	depth := l.blocks * l.kk
+	perOut := l.outC * l.ncols
 	for i := lo; i < hi; i++ {
-		tensor.MatMulPanelAccWS(e.outHdr[i], e.wHdr[parity], e.colsHdr[i], p0, acc, scratch)
-	}
-}
-
-// decodeConvPanel decrypts panel t's kernel-row blocks with one
-// run-coalesced DecryptRangeInto and repacks the layout's
-// [channel][out][k] bytes into the GEMM's [out][channel-k] panel
-// matrix. Decode tasks are strictly serialized by the pipeline, so the
-// byte staging buffer is shared; only wbuf[parity] crosses into the
-// concurrent consume.
-func (e *Engine) decodeConvPanel(cs *convStep, t, parity int) {
-	r := cs.region
-	c0 := t * cs.cpp
-	c1 := c0 + cs.cpp
-	if c1 > cs.layer.Geom.InC {
-		c1 = cs.layer.Geom.InC
-	}
-	buf := e.stagePanel(r, c0, c1)
-	kp := (c1 - c0) * cs.kk
-	outC := cs.layer.OutC
-	w := e.wbuf[parity][:outC*kp]
-	bb := int(r.BlockBytes)
-	for c := c0; c < c1; c++ {
-		blk := buf[(c-c0)*bb:]
-		col0 := (c - c0) * cs.kk
-		for o := 0; o < outC; o++ {
-			dst := w[o*kp+col0 : o*kp+col0+cs.kk]
-			src := blk[o*cs.kk*4:]
-			for k := range dst {
-				dst[k] = math.Float32frombits(binary.LittleEndian.Uint32(src[k*4:]))
+		in := e.x.Data[i*l.perIn : (i+1)*l.perIn]
+		if e.int8 {
+			s := tensor.QuantScale(tensor.MaxAbsSlice(in))
+			e.actScale[i] = s
+			aimQ(e.qcolsHdr[i], e.qcolsBuf[i][:l.ncols*depth], l.ncols, depth)
+			if l.conv == nil {
+				tensor.QuantizeSliceInto(e.qcolsHdr[i].Data, in, s)
+				continue
 			}
+			qimg := e.qimgBuf[i][:l.perIn]
+			tensor.QuantizeSliceInto(qimg, in, s)
+			tensor.Im2ColTransInt8Into(e.qcolsHdr[i], qimg, l.conv.Geom)
+			continue
 		}
+		out := e.out.Data[i*perOut : (i+1)*perOut]
+		if l.conv == nil {
+			// Row-major for the transposed-B GEMM that Linear.Forward uses.
+			aim2(e.colsHdr[i], in, 1, l.perIn)
+			aim2(e.outHdr[i], out, 1, l.outC)
+			continue
+		}
+		g := l.conv.Geom
+		aim3(e.imgHdr[i], in, g.InC, g.InH, g.InW)
+		aim2(e.colsHdr[i], e.colsBuf[i][:depth*l.ncols], depth, l.ncols)
+		aim2(e.outHdr[i], out, l.outC, l.ncols)
+		tensor.Im2ColInto(e.colsHdr[i], e.imgHdr[i], g)
 	}
-	aim2(e.wHdr[parity], w, outC, kp)
 }
 
-// stagePanel bulk-decrypts blocks [c0, c1) of a weight region into the
-// shared byte staging buffer and accounts the traffic split.
-func (e *Engine) stagePanel(r *core.Region, c0, c1 int) []byte {
-	nb := uint64(c1-c0) * r.BlockBytes
-	buf := e.byteBuf[:nb]
+// decode decrypts panel t's kernel-row blocks with one run-coalesced
+// DecryptRangeInto and repacks the layout's [block][out][kk] weights
+// into the GEMM's [out][block·kk] panel matrix in buffer t&1 (an int8
+// panel is then prepacked into its dual-lane words once for the whole
+// batch). Decode tasks are strictly serialized by the pipeline, so the
+// byte staging buffer and the stats are shared; only the panel buffer
+// crosses into the concurrent consume.
+func (e *Engine) decode(t int) {
+	l := e.cur
+	r := l.region
+	par := t & 1
+	c0 := t * l.cpp
+	nblk := min(l.cpp, l.blocks-c0)
+	bb := int(r.BlockBytes)
+	buf := e.byteBuf[:nblk*bb]
 	enc, err := e.img.DecryptRangeInto(r, uint64(c0)*r.BlockBytes, buf)
 	if err != nil {
 		// Geometry is validated at construction; a failure here is a
@@ -565,71 +498,85 @@ func (e *Engine) stagePanel(r *core.Region, c0, c1 int) []byte {
 		panic(err)
 	}
 	e.stats.BytesDecrypted += int64(enc)
-	e.stats.BytesCopied += int64(nb) - int64(enc)
+	e.stats.BytesCopied += int64(len(buf) - enc)
 	e.stats.Panels++
-	return buf
-}
-
-// runFC streams one fully-connected layer with the same pipeline shape
-// as runConv; the panel GEMM reproduces MatMulTransBIntoWS's
-// per-element order (ascending p, no zero skip) and the bias pass
-// matches Linear.Forward.
-func (e *Engine) runFC(fs *fcStep, x *tensor.Tensor) *tensor.Tensor {
-	l := fs.layer
-	n := x.Dim(0)
-	out := ensure2(&fs.out, n, l.Out)
-	if parallel.Workers() == 1 {
-		for t := 0; t < fs.panels; t++ {
-			e.decodeFCPanel(fs, t, 0)
-			tensor.MatMulTransBPanelAccWS(out, x, t*fs.cpp, e.wHdr[0], t > 0)
-		}
-	} else {
-		e.decodeFCPanel(fs, 0, 0)
-		for t := 0; t < fs.panels; t++ {
-			t := t
-			cur := t & 1
-			if t+1 < fs.panels {
-				parallel.Do(
-					func() { e.decodeFCPanel(fs, t+1, cur^1) },
-					func() { tensor.MatMulTransBPanelAccWS(out, x, t*fs.cpp, e.wHdr[cur], t > 0) },
-				)
-			} else {
-				tensor.MatMulTransBPanelAccWS(out, x, t*fs.cpp, e.wHdr[cur], t > 0)
+	kk := l.kk
+	kp := nblk * kk
+	w, qw := e.wbuf[par], e.qwbuf[par]
+	for c := 0; c < nblk; c++ {
+		blk := buf[c*bb:]
+		for o := 0; o < l.outC; o++ {
+			at := o*kp + c*kk
+			if e.int8 {
+				dst := qw[at : at+kk]
+				for k, b := range blk[o*kk : (o+1)*kk] {
+					dst[k] = int8(b)
+				}
+				continue
+			}
+			dst := w[at : at+kk]
+			src := blk[o*kk*4:]
+			for k := range dst {
+				dst[k] = math.Float32frombits(binary.LittleEndian.Uint32(src[k*4:]))
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		row := out.Data[i*l.Out : (i+1)*l.Out]
-		for j := range row {
-			row[j] += l.Bias.W.Data[j]
-		}
+	if e.int8 {
+		aimQ(e.qwHdr[par], qw[:l.outC*kp], l.outC, kp)
+		tensor.PackInt8BInto(e.qpack[par][:tensor.PackedBLen(l.outC, kp)], e.qwHdr[par])
+		return
 	}
-	return out
+	aim2(e.wHdr[par], w[:l.outC*kp], l.outC, kp)
 }
 
-// decodeFCPanel decrypts input-feature blocks [t*cpp, ...) and repacks
-// the layout's [feature][out] bytes into the [out][feature] panel the
-// transposed-B GEMM consumes.
-func (e *Engine) decodeFCPanel(fs *fcStep, t, parity int) {
-	r := fs.region
-	c0 := t * fs.cpp
-	c1 := c0 + fs.cpp
-	if c1 > fs.layer.In {
-		c1 = fs.layer.In
-	}
-	buf := e.stagePanel(r, c0, c1)
-	kp := c1 - c0
-	outC := fs.layer.Out
-	w := e.wbuf[parity][:outC*kp]
-	bb := int(r.BlockBytes)
-	for c := c0; c < c1; c++ {
-		blk := buf[(c-c0)*bb:]
-		col := c - c0
-		for o := 0; o < outC; o++ {
-			w[o*kp+col] = math.Float32frombits(binary.LittleEndian.Uint32(blk[o*4:]))
+// consume folds panel e.t into the outputs of items [lo, hi), using the
+// workspace of the chunk that starts at lo. Each GEMM is the one the nn
+// forward uses, split at the panel: conv's skip-zero MatMulIntoWS
+// chain, Linear's transposed-B chain, or the exact int32 int8 GEMM.
+func (e *Engine) consume(lo, hi int) {
+	l := e.cur
+	par := e.t & 1
+	p0 := e.t * l.cpp * l.kk
+	acc := e.t > 0
+	for i := lo; i < hi; i++ {
+		switch {
+		case e.int8:
+			w := e.qwHdr[par]
+			pb := e.qpack[par][:tensor.PackedBLen(w.Rows, w.Cols)]
+			tensor.MatMulInt8TransBPrepackedAcc(e.accBuf[i][:l.ncols*l.outC], e.qcolsHdr[i], p0, pb, w, acc, e.int8WS[lo/e.grain])
+		case l.conv == nil:
+			tensor.MatMulTransBPanelAccWS(e.outHdr[i], e.colsHdr[i], p0, e.wHdr[par], acc)
+		default:
+			tensor.MatMulPanelAccWS(e.outHdr[i], e.wHdr[par], e.colsHdr[i], p0, acc, e.scratch[lo/e.grain])
 		}
 	}
-	aim2(e.wHdr[parity], w, outC, kp)
+}
+
+// finish completes items [lo, hi) after the last panel: an int8 layer
+// dequantizes its accumulators into the output first, then every layer
+// adds its bias, in the nn forward's order.
+func (e *Engine) finish(lo, hi int) {
+	l := e.cur
+	var bias []float32
+	if l.fc != nil {
+		bias = l.fc.Bias.W.Data
+	} else if l.conv.UseBias {
+		bias = l.conv.Bias.W.Data
+	}
+	perOut := l.outC * l.ncols
+	for i := lo; i < hi; i++ {
+		out := e.out.Data[i*perOut : (i+1)*perOut]
+		if e.int8 {
+			aim2(e.outHdr[i], out, l.outC, l.ncols)
+			tensor.DequantizeTransposeInto(e.outHdr[i], e.accBuf[i], l.qscales, e.actScale[i])
+		}
+		for oc, b := range bias {
+			row := out[oc*l.ncols : (oc+1)*l.ncols]
+			for j := range row {
+				row[j] += b
+			}
+		}
+	}
 }
 
 // runBlock streams a residual block in the plaintext block's exact
@@ -637,14 +584,14 @@ func (e *Engine) decodeFCPanel(fs *fcStep, t, parity int) {
 // sum+ReLU into an engine-owned buffer.
 func (e *Engine) runBlock(bs *blockStep, x *tensor.Tensor) *tensor.Tensor {
 	b := bs.b
-	main := e.convForward(bs.conv1, x)
+	main := e.run(bs.conv1, x)
 	main = b.BN1.Forward(main, false)
 	main = b.Relu1.Forward(main, false)
-	main = e.convForward(bs.conv2, main)
+	main = e.run(bs.conv2, main)
 	main = b.BN2.Forward(main, false)
 	short := x
 	if bs.shortcut != nil {
-		short = e.convForward(bs.shortcut, x)
+		short = e.run(bs.shortcut, x)
 		short = b.ShortcutBN.Forward(short, false)
 	}
 	out := ensure4(&bs.out, main.Shape[0], main.Shape[1], main.Shape[2], main.Shape[3])
@@ -665,8 +612,8 @@ func (e *Engine) runBlock(bs *blockStep, x *tensor.Tensor) *tensor.Tensor {
 // narrower batches re-slice the same storage instead of reallocating,
 // so a serving engine that mixes batch sizes stays allocation-free.
 // Safe because every engine-owned output is fully overwritten each
-// forward (first-panel GEMMs run with acc=false, runBlock assigns every
-// element, FC overwrites before adding bias).
+// forward (first-panel GEMMs run with acc=false, int8 dequantization
+// assigns every element, runBlock assigns every element).
 func ensure2(ws **tensor.Tensor, a, b int) *tensor.Tensor {
 	t := *ws
 	if t == nil || cap(t.Data) < a*b {
@@ -704,4 +651,11 @@ func aim3(t *tensor.Tensor, data []float32, a, b, c int) {
 	t.Data = data
 	t.Shape = t.Shape[:0]
 	t.Shape = append(t.Shape, a, b, c)
+}
+
+// aimQ re-points a reusable int8 matrix header at a storage slice.
+func aimQ(m *tensor.Int8Mat, data []int8, rows, cols int) {
+	m.Data = data
+	m.Rows = rows
+	m.Cols = cols
 }

@@ -54,6 +54,13 @@ func buildEngine(t testing.TB, arch *models.Arch, opts core.Options, ratio float
 	return e, m
 }
 
+// formats builds an engine over each image format: float32 weights, and
+// the int8 layout paired with the model's quantized eval path.
+var formats = []struct {
+	name  string
+	build func(testing.TB, *models.Arch, core.Options, float64, uint64, int) (*Engine, *models.Model)
+}{{"float", buildEngine}, {"int8", buildInt8Engine}}
+
 func randInput(r *prng.Source, arch *models.Arch, n int) *tensor.Tensor {
 	x := tensor.New(n, arch.InC, arch.InH, arch.InW)
 	for i := range x.Data {
@@ -143,37 +150,40 @@ func TestForwardReadsWeightsFromImage(t *testing.T) {
 	}
 }
 
-// TestForwardStatsAccounting checks the traffic counters: one forward
-// stages every weight region exactly once, splitting bytes between the
-// keystream and the plaintext bypass according to the plan.
+// TestForwardStatsAccounting checks the traffic counters in both image
+// formats: one forward stages every weight region exactly once,
+// splitting bytes between the keystream and the plaintext bypass
+// according to the plan.
 func TestForwardStatsAccounting(t *testing.T) {
 	r := prng.New(55)
-	e, m := buildEngine(t, models.VGG16Arch().Scale(0.125, 0), core.DefaultOptions(), 0.5, 3, 4096)
-	_ = m
-	x := randInput(r, models.VGG16Arch().Scale(0.125, 0), 1)
-	e.Forward(x)
-	st := e.Stats()
-	var wantTotal, wantEnc int64
-	for _, lp := range e.img.Layout.Plan.Layers {
-		reg := e.img.Layout.Region("w:" + lp.Name)
-		wantTotal += int64(reg.Size)
-		wantEnc += int64(reg.EncryptedBytes())
-	}
-	if st.Forwards != 1 {
-		t.Fatalf("Forwards = %d, want 1", st.Forwards)
-	}
-	if st.BytesDecrypted != wantEnc {
-		t.Fatalf("BytesDecrypted = %d, want %d", st.BytesDecrypted, wantEnc)
-	}
-	if st.BytesDecrypted+st.BytesCopied != wantTotal {
-		t.Fatalf("decrypted+copied = %d, want total region bytes %d", st.BytesDecrypted+st.BytesCopied, wantTotal)
-	}
-	if st.Panels <= int64(len(e.img.Layout.Plan.Layers)) {
-		t.Fatalf("Panels = %d, expected multiple panels per layer at 4 KiB budget", st.Panels)
-	}
-	e.ResetStats()
-	if e.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero the counters")
+	arch := models.VGG16Arch().Scale(0.125, 0)
+	x := randInput(r, arch, 1)
+	for _, f := range formats {
+		e, _ := f.build(t, arch, core.DefaultOptions(), 0.5, 3, 4096)
+		e.Forward(x)
+		st := e.Stats()
+		var wantTotal, wantEnc int64
+		for _, lp := range e.img.Layout.Plan.Layers {
+			reg := e.img.Layout.Region("w:" + lp.Name)
+			wantTotal += int64(reg.Size)
+			wantEnc += int64(reg.EncryptedBytes())
+		}
+		if st.Forwards != 1 {
+			t.Fatalf("%s: Forwards = %d, want 1", f.name, st.Forwards)
+		}
+		if st.BytesDecrypted != wantEnc {
+			t.Fatalf("%s: BytesDecrypted = %d, want %d", f.name, st.BytesDecrypted, wantEnc)
+		}
+		if st.BytesDecrypted+st.BytesCopied != wantTotal {
+			t.Fatalf("%s: decrypted+copied = %d, want total region bytes %d", f.name, st.BytesDecrypted+st.BytesCopied, wantTotal)
+		}
+		if st.Panels <= int64(len(e.img.Layout.Plan.Layers)) {
+			t.Fatalf("%s: Panels = %d, expected multiple panels per layer at 4 KiB budget", f.name, st.Panels)
+		}
+		e.ResetStats()
+		if e.Stats() != (Stats{}) {
+			t.Fatalf("%s: ResetStats did not zero the counters", f.name)
+		}
 	}
 }
 
@@ -196,33 +206,36 @@ func TestForwardZeroAllocWarm(t *testing.T) {
 }
 
 // TestForwardBatchShrinkReusesStorage pins the grow-only workspace
-// contract the serving gateway depends on: after one forward at the
-// widest batch, narrower batches must allocate nothing (the layer
-// outputs re-slice the same storage) and still produce logits
-// bit-identical to a never-grown engine at that batch.
+// contract the serving gateway depends on, in both image formats: after
+// one forward at the widest batch, narrower batches must allocate
+// nothing (the layer outputs re-slice the same storage) and still
+// produce logits bit-identical to a never-grown engine at that batch.
 func TestForwardBatchShrinkReusesStorage(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	r := prng.New(66)
-	for _, tc := range testCases() {
-		e, _ := buildEngine(t, tc.arch, tc.opts, 0.5, 31, 4096)
-		wide := randInput(r, tc.arch, 8)
-		e.Forward(wide) // widest batch: grows every workspace once
-		for _, batch := range []int{1, 3, 8} {
-			x := randInput(r, tc.arch, batch)
-			fresh, _ := buildEngine(t, tc.arch, tc.opts, 0.5, 31, 4096)
-			want := cloneData(fresh.Forward(x))
-			got := cloneData(e.Forward(x))
-			if len(got) != len(want) {
-				t.Fatalf("%s batch %d: logits size %d, want %d", tc.name, batch, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s batch %d: logit %d = %v, want %v (shrunk-workspace forward diverged)", tc.name, batch, i, got[i], want[i])
+	for _, f := range formats {
+		for _, tc := range testCases() {
+			name := f.name + "/" + tc.name
+			e, _ := f.build(t, tc.arch, tc.opts, 0.5, 31, 4096)
+			wide := randInput(r, tc.arch, 8)
+			e.Forward(wide) // widest batch: grows every workspace once
+			for _, batch := range []int{1, 3, 8} {
+				x := randInput(r, tc.arch, batch)
+				fresh, _ := f.build(t, tc.arch, tc.opts, 0.5, 31, 4096)
+				want := cloneData(fresh.Forward(x))
+				got := cloneData(e.Forward(x))
+				if len(got) != len(want) {
+					t.Fatalf("%s batch %d: logits size %d, want %d", name, batch, len(got), len(want))
 				}
-			}
-			if n := testing.AllocsPerRun(10, func() { e.Forward(x) }); n != 0 {
-				t.Fatalf("%s: forward at batch %d after batch 8 allocates %.1f objects/op, want 0 (workspaces not grow-only)", tc.name, batch, n)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s batch %d: logit %d = %v, want %v (shrunk-workspace forward diverged)", name, batch, i, got[i], want[i])
+					}
+				}
+				if n := testing.AllocsPerRun(10, func() { e.Forward(x) }); n != 0 {
+					t.Fatalf("%s: forward at batch %d after batch 8 allocates %.1f objects/op, want 0 (workspaces not grow-only)", name, batch, n)
+				}
 			}
 		}
 	}

@@ -1,14 +1,14 @@
 // Package serve is the encrypted-inference serving gateway: a
 // multi-tenant registry of Prepared model bundles behind a stdlib
 // net/http API. Each registered model is built once — plan, EMalloc
-// layout, AES-CTR-sealed memory image, and a pool of streaming
-// secure-inference engines — and then serves requests admitted through
-// a bounded queue (429 + Retry-After on overflow) and dynamically
-// batched up to a configurable window/size. Every tenant's images are
-// sealed under a sub-key derived from the gateway master key
-// (seal.Key.DeriveSubKey), so no two tenants ever share keystream;
-// hot-swapping a model builds the new deployment off the request path
-// and swaps it atomically while the old one drains.
+// layout, AES-CTR-sealed memory image, and one streaming
+// secure-inference engine per dispatcher worker — and then serves
+// requests admitted through a bounded queue (429 + Retry-After on
+// overflow) and dynamically batched up to a configurable window/size.
+// Every tenant's images are sealed under a sub-key derived from the
+// gateway master key (seal.Key.DeriveSubKey), so no two tenants ever
+// share keystream; hot-swapping a model builds the new deployment off
+// the request path and swaps it atomically while the old one drains.
 package serve
 
 import (
@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"seal"
-	"seal/internal/secure"
 )
 
 // ModelSpec is the client-supplied description of a model to host. The
@@ -191,37 +190,32 @@ func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterI
 	if err != nil {
 		return nil, nil, err
 	}
-	engines := make([]*secure.Engine, r.cfg.Workers)
-	engines[0] = prep.Engine()
-	for i := 1; i < len(engines); i++ {
-		if engines[i], err = prep.NewEngine(); err != nil {
-			return nil, nil, err
-		}
-	}
-	pool, err := secure.NewPool(engines...)
-	if err != nil {
-		return nil, nil, err
-	}
 	dep := &deployment{
 		spec:     spec,
 		prep:     prep,
-		pool:     pool,
-		slots:    make(map[*secure.Engine]*engineSlot, len(engines)),
+		slots:    make([]*engineSlot, r.cfg.Workers),
 		inC:      arch.InC,
 		inH:      arch.InH,
 		inW:      arch.InW,
 		inputLen: arch.InC * arch.InH * arch.InW,
 		retired:  make(chan struct{}),
 	}
-	// Give every engine its dispatch slot and warm it with one forward at
-	// full batch width: engine workspaces (im2col, panel staging, layer
-	// outputs) and the slot's batch tensor are grow-only, so after this
-	// no steady-state request allocates. The warm input is nonzero so the
-	// int8 path's dynamic quantization scales stay well-defined. Warm-up
-	// work is excluded from the serving stats.
-	for _, eng := range engines {
-		slot := newEngineSlot(r.cfg.MaxBatch, dep.inputLen)
-		dep.slots[eng] = slot
+	// Give every worker a dispatch slot with its own engine and warm it
+	// with one forward at full batch width: engine workspaces (im2col,
+	// panel staging, layer outputs) and the slot's batch tensor are
+	// grow-only, so after this no steady-state request allocates. The
+	// warm input is nonzero so the int8 path's dynamic quantization
+	// scales stay well-defined. Warm-up work is excluded from the
+	// serving stats.
+	for s := range dep.slots {
+		eng := prep.Engine()
+		if s > 0 {
+			if eng, err = prep.NewEngine(); err != nil {
+				return nil, nil, err
+			}
+		}
+		slot := newEngineSlot(eng, r.cfg.MaxBatch, dep.inputLen)
+		dep.slots[s] = slot
 		for i := range slot.xbuf {
 			slot.xbuf[i] = float32(i%3) - 1
 		}
@@ -235,7 +229,7 @@ func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterI
 		Scale:             effectiveScale(spec.Scale),
 		Ratio:             opts.Ratio,
 		Seed:              spec.Seed,
-		Workers:           len(engines),
+		Workers:           len(dep.slots),
 		InputLen:          dep.inputLen,
 		Classes:           classes(arch),
 		WeightEncFraction: prep.Plan().WeightEncFraction(),
@@ -324,7 +318,7 @@ func (r *Registry) Stats() []ModelStats {
 			Items:        h.stats.items.Load(),
 			MaxBatch:     h.stats.maxBatch.Load(),
 			Swaps:        h.stats.swaps.Load(),
-			Workers:      dep.pool.Size(),
+			Workers:      len(dep.slots),
 			QueueCap:     cap(h.queue),
 			QueueLen:     len(h.queue),
 			BusyEngines:  h.busy.Load(),
@@ -343,8 +337,8 @@ func (r *Registry) Stats() []ModelStats {
 }
 
 // Close drains every hosted model and rejects all future work. It
-// returns once no request is in flight and every engine pool has been
-// reclaimed.
+// returns once no request is in flight and every dispatcher worker has
+// exited.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {

@@ -96,7 +96,7 @@ func isRawF32(ct string) bool {
 //	POST   /v1/tenants/{tenant}/models/{model}/infer  one sample per request
 //
 // Inference requests carry one sample each; the gateway batches
-// concurrent requests dynamically before running them on a pooled
+// concurrent requests dynamically before running them on a worker's
 // engine, so client code stays trivially simple while the zero-alloc
 // eval path gets wide batches.
 type Server struct {

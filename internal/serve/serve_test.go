@@ -477,11 +477,10 @@ func TestHotSwapUnderLoad(t *testing.T) {
 }
 
 // TestSwapHandsOffWorkers pins the hot-swap liveness invariant under
-// the per-engine dispatcher structure: after a swap, the old
-// deployment's pool drains completely (its workers observed `retired`
-// and released their engines — with a single engine, a missed handoff
-// would wedge the drain forever), and the queue is still consumed — by
-// the new generation's workers only.
+// the per-engine dispatcher structure: after a swap, every worker of
+// the old deployment exits (it observed `retired` — with a single
+// engine, a missed handoff would leave it squatting forever), and the
+// queue is still consumed — by the new generation's workers only.
 func TestSwapHandsOffWorkers(t *testing.T) {
 	reg := NewRegistry(Config{MasterKey: testMaster, Workers: 1}.withDefaults())
 	defer reg.Close()
@@ -497,14 +496,14 @@ func TestSwapHandsOffWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The old pool must drain without help: its worker has to notice
-	// retirement and release the only engine.
+	// The old worker must exit without help: it has to notice
+	// retirement and give up the only engine.
 	drained := make(chan struct{})
-	go func() { h.retired.Wait(); close(drained) }()
+	go func() { stale.workers.Wait(); close(drained) }()
 	select {
 	case <-drained:
 	case <-time.After(10 * time.Second):
-		t.Fatal("old pool never drained — a retired worker is squatting on its engine")
+		t.Fatal("old worker never exited — a retired worker is squatting on its engine")
 	}
 	select {
 	case <-stale.retired:

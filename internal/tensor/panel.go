@@ -25,7 +25,7 @@ import (
 // av==0 skip as MatMulIntoWS, so a sequence of panel calls in ascending
 // p0 covering [0, k) is bit-identical to one MatMulIntoWS(c, A, B).
 // panel is the MatMulPanelLen(kp) packing scratch (nil → allocated,
-// short → panic), as in MatMulIntoWS.
+// short → panic, unused above the parallel cutover), as in MatMulIntoWS.
 func MatMulPanelAccWS(c, aPanel, b *Tensor, p0 int, acc bool, panel []float32) {
 	m, kp := aPanel.Shape[0], aPanel.Shape[1]
 	n := b.Shape[1]
@@ -48,7 +48,9 @@ func MatMulPanelAccWS(c, aPanel, b *Tensor, p0 int, acc bool, panel []float32) {
 		return
 	}
 	parallel.For(m, 0, func(lo, hi int) {
-		matMulRowsAcc(cd, ad, bd, make([]float32, kp*matMulPanelCols), kp, n, lo, hi, acc)
+		p := getPanel(MatMulPanelLen(kp))
+		matMulRowsAcc(cd, ad, bd, *p, kp, n, lo, hi, acc)
+		chunkPanels.Put(p)
 	})
 }
 

@@ -7,6 +7,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"seal/internal/parallel"
 )
@@ -267,6 +268,24 @@ const matMulPanelCols = 8
 // that reuse a workspace across calls size it with this.
 func MatMulPanelLen(k int) int { return k * matMulPanelCols }
 
+// chunkPanels recycles the packing panels of the parallel GEMM paths
+// (*[]float32, grown on demand). Concurrent chunks of one call each need
+// a private panel, but not a fresh one: every panel block is packed
+// before it is read, so a reused panel gives the same result.
+var chunkPanels sync.Pool
+
+// getPanel checks out a packing panel of n floats; return it to
+// chunkPanels when the chunk is done.
+func getPanel(n int) *[]float32 {
+	p, _ := chunkPanels.Get().(*[]float32)
+	if p == nil || cap(*p) < n {
+		buf := make([]float32, n)
+		p = &buf
+	}
+	*p = (*p)[:n]
+	return p
+}
+
 // MatMulInto computes C = A×B into an existing C, which must have shape
 // [m,n]. C is overwritten. It allocates a transient packing panel; hot
 // loops that must not allocate pass a reusable one to MatMulIntoWS.
@@ -277,7 +296,9 @@ func MatMulInto(c, a, b *Tensor) { MatMulIntoWS(c, a, b, nil) }
 // a non-nil but undersized panel panics with the required length — a
 // short workspace means the caller sized it for the wrong k, and
 // silently allocating would hide the bug as a per-call allocation on a
-// path that exists to avoid exactly that.
+// path that exists to avoid exactly that. Above the parallel cutover
+// the panel is not used: each worker chunk packs into a pooled private
+// one (chunkPanels).
 // Rows of C are independent, so the kernel is row-blocked across the
 // worker pool; each row accumulates over k in ascending order exactly
 // as in the serial loop, keeping parallel output bit-identical to
@@ -301,11 +322,13 @@ func MatMulIntoWS(c, a, b *Tensor, panel []float32) {
 		matMulRows(cd, ad, bd, panel, k, n, 0, m)
 		return
 	}
-	// Each worker chunk packs its own panel: packing is O(k·n) per
-	// worker against O(k·n·rows) compute, and private panels keep the
-	// chunks write-disjoint.
+	// Each worker chunk packs its own panel, checked out of chunkPanels:
+	// packing is O(k·n) per worker against O(k·n·rows) compute, and
+	// private panels keep the chunks write-disjoint.
 	parallel.For(m, 0, func(lo, hi int) {
-		matMulRows(cd, ad, bd, make([]float32, k*matMulPanelCols), k, n, lo, hi)
+		p := getPanel(MatMulPanelLen(k))
+		matMulRows(cd, ad, bd, *p, k, n, lo, hi)
+		chunkPanels.Put(p)
 	})
 }
 
@@ -504,7 +527,9 @@ func MatMulTransAIntoWS(c, a, b *Tensor, scratch []float32) {
 		}
 	})
 	parallel.For(m, 0, func(lo, hi int) {
-		matMulRows(cd, at, bd, make([]float32, MatMulPanelLen(k)), k, n, lo, hi)
+		p := getPanel(MatMulPanelLen(k))
+		matMulRows(cd, at, bd, *p, k, n, lo, hi)
+		chunkPanels.Put(p)
 	})
 }
 
@@ -580,10 +605,12 @@ func MatMulTransBIntoWS(c, a, b *Tensor, panel []float32) {
 		return
 	}
 	// The panel packs B columns (shared by all C rows), so each worker
-	// chunk packs its own private copy and the chunks stay
-	// write-disjoint.
+	// chunk packs its own private copy from chunkPanels and the chunks
+	// stay write-disjoint.
 	parallel.For(m, 0, func(lo, hi int) {
-		matMulTransBRows(cd, ad, bd, make([]float32, MatMulPanelLen(k)), k, n, lo, hi)
+		p := getPanel(MatMulPanelLen(k))
+		matMulTransBRows(cd, ad, bd, *p, k, n, lo, hi)
+		chunkPanels.Put(p)
 	})
 }
 
